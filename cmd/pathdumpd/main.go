@@ -1,7 +1,8 @@
-// Command pathdumpd runs one PathDump host agent as an HTTP daemon — the
+// Command pathdumpd runs PathDump host agents as an HTTP daemon — the
 // real-deployment analogue of the paper's Flask server stack. It serves
-// the host API (query/install/uninstall) for one host's TIB, either
-// loaded from a snapshot or populated by an embedded demo workload.
+// the host API (query/install/uninstall) for one or more hosts' TIBs,
+// either loaded from a snapshot or populated by an embedded demo
+// workload. Every request names its host, single-host daemons included.
 //
 //	# serve host 12 of a 4-ary fat-tree with demo traffic, on :8412
 //	pathdumpd -host 12 -listen :8412 -demo
@@ -15,7 +16,7 @@
 //
 // Query it with pathdumpctl or plain curl:
 //
-//	curl -s localhost:8412/query -d '{"query":{"op":"topk","k":5}}'
+//	curl -s localhost:8412/query -d '{"host":12,"query":{"op":"topk","k":5}}'
 package main
 
 import (
@@ -53,11 +54,11 @@ func main() {
 	var (
 		listen   = flag.String("listen", ":8400", "HTTP listen address")
 		hostID   = flag.Uint("host", 0, "host ID within the topology")
-		hostIDs  = flag.String("hosts", "", "comma-separated host IDs to serve from one multi-agent daemon (overrides -host)")
+		hostIDs  = flag.String("hosts", "", "comma-separated host IDs to serve from one daemon, so the controller batches their queries into one /batchquery round trip (overrides -host)")
 		arity    = flag.Int("k", 4, "fat-tree arity of the ground-truth topology")
 		parallel = flag.Int("parallel", 0, "max concurrent per-host executions of a /batchquery (0 = unlimited)")
 		timeout  = flag.Duration("timeout", 0, "per-request deadline (0 = none): the request context is cancelled at the deadline, aborting TIB scans and batch fan-outs mid-flight")
-		tibPath  = flag.String("tib", "", "TIB snapshot to load (v2 segment-wise or legacy v1 gob; single-host mode only)")
+		tibPath  = flag.String("tib", "", "TIB snapshot to load, in the segment-wise format pathdumpctl -pull-snapshot writes, served as host -host (single-host mode only)")
 		segSpan  = flag.Duration("segment-span", 0, "seal a TIB segment once it covers this much virtual time (0 = seal by record count; default retention/8 when -retention is set)")
 		retain   = flag.Duration("retention", 0, "TIB retention: whole sealed segments older than this (virtual time) are evicted as records arrive — the paper's fixed per-host storage budget (0 = keep everything)")
 		retainB  = flag.Int64("retention-bytes", 0, "TIB byte budget: once the store's estimated footprint exceeds this, the oldest sealed segments are evicted until it fits — §5.3's fixed MB-per-host budget (0 = no byte budget)")
@@ -72,7 +73,6 @@ func main() {
 		slowOnce = flag.Bool("slow-first-only", false, "only the first query at -slow-host stalls; later ones (e.g. a hedged retry) answer at full speed")
 		impair   = flag.String("impair", "", "fault injection: semicolon-separated link impairments applied before the demo workload runs, each 'A-B:knob[,knob...]' with directed switch IDs and tc-style knobs loss=P (drop probability), rate=BPS (throttle; 0 kills the link's bandwidth), delay=DUR (added one-way latency), down (administratively down) — e.g. '0-8:loss=1;0-9:loss=1'")
 		poorFlow = flag.Bool("inject-poor-flow", false, "fault injection: register one wedged TCP flow at the lowest served host so an installed poor_tcp monitor deterministically raises POOR_PERF every period (e2e alarm-path testing)")
-		jsonOnly = flag.Bool("json-only", false, "speak JSON only: answer every query in JSON even when the client offers the binary wire encoding, and reject wire-encoded request bodies with 415 (clients retry those as JSON) — stands in for a daemon predating the wire protocol in mixed-version testing")
 		wireComp = flag.Bool("wire-compress", false, "flate-compress binary wire responses (trades CPU for bytes on slow links)")
 		maxBody  = flag.Int64("max-body", 0, "per-request body cap in bytes; oversized requests answer 413 (0 = the 16 MiB default)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in: profiling endpoints stay off by default)")
@@ -84,6 +84,12 @@ func main() {
 	// agent and rpc planes register below as they are wired.
 	reg := obs.NewRegistry()
 	srvObs := &rpc.ServerObs{Registry: reg, EnablePprof: *pprofOn}
+	// Every serving mode is one MultiAgentServer keyed by host ID; a
+	// single-host daemon is a one-target server.
+	handler := func(targets map[types.HostID]rpc.Target) http.Handler {
+		return (&rpc.MultiAgentServer{Targets: targets, Parallelism: *parallel, MaxBodyBytes: *maxBody, WireCompress: *wireComp, Obs: srvObs}).Handler()
+	}
+	const endpoints = "endpoints: POST /query /batchquery /install /uninstall, GET /stats /snapshot?host=N /healthz /metrics"
 
 	c, err := pathdump.NewFatTree(*arity, pathdump.Config{Agent: pathdump.AgentConfig{
 		SegmentSpan:    pathdump.Time(segSpan.Nanoseconds()),
@@ -199,11 +205,11 @@ func main() {
 		srvObs.Health = func() rpc.HealthStatus {
 			return rpc.HealthStatus{Status: "ok", Hosts: 1, Records: store.Len(), Snapshot: "restored"}
 		}
-		srv := &rpc.AgentServer{T: rpc.SnapshotTarget{Store: store}, MaxBodyBytes: *maxBody, DisableWire: *jsonOnly, WireCompress: *wireComp, Obs: srvObs}
+		h := handler(map[types.HostID]rpc.Target{types.HostID(*hostID): rpc.SnapshotTarget{Store: store}})
 		log.Printf("pathdumpd: snapshot %s serving on %s, %d TIB records in %d segments",
 			*tibPath, *listen, store.Len(), store.Segments())
-		fmt.Println("endpoints: POST /query /install /uninstall, GET /stats /snapshot /healthz /metrics")
-		if err := serve(ctx, *listen, srv.Handler(), *timeout); err != nil {
+		fmt.Println(endpoints)
+		if err := serve(ctx, *listen, h, *timeout); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -309,33 +315,24 @@ func main() {
 	// stall must hold the straggling request's goroutine, never simMu —
 	// otherwise one wedged query would freeze the trigger pump and every
 	// install for the stall's duration.
-	target := func(id types.HostID, a *agent.Agent) rpc.Target {
+	targets := make(map[types.HostID]rpc.Target, len(served))
+	for id, a := range served {
 		var t fullTarget = lockedTarget{t: a, mu: &simMu}
 		if *slowHost >= 0 && types.HostID(*slowHost) == id {
 			log.Printf("pathdumpd: host %v injected slow (%v, first-only=%v)", id, *slowDly, *slowOnce)
 			t = &slowTarget{fullTarget: t, delay: *slowDly, once: *slowOnce}
 		}
-		return t
-	}
-
-	var handler http.Handler
-	if len(served) == 1 && *hostIDs == "" {
-		for id, a := range served {
-			handler = (&rpc.AgentServer{T: target(id, a), MaxBodyBytes: *maxBody, DisableWire: *jsonOnly, WireCompress: *wireComp, Obs: srvObs}).Handler()
+		targets[id] = t
+		if len(served) == 1 {
 			log.Printf("pathdumpd: host %v (%v) serving on %s, %d TIB records in %d segments",
 				a.Host.ID, a.Host.IP, *listen, a.Store.Len(), a.Store.Segments())
 		}
-		fmt.Println("endpoints: POST /query /install /uninstall, GET /stats /snapshot /healthz /metrics")
-	} else {
-		targets := make(map[types.HostID]rpc.Target, len(served))
-		for id, a := range served {
-			targets[id] = target(id, a)
-		}
-		handler = (&rpc.MultiAgentServer{Targets: targets, Parallelism: *parallel, MaxBodyBytes: *maxBody, DisableWire: *jsonOnly, WireCompress: *wireComp, Obs: srvObs}).Handler()
-		log.Printf("pathdumpd: %d hosts serving on %s", len(served), *listen)
-		fmt.Println("endpoints: POST /query /batchquery /install /uninstall, GET /stats /snapshot?host=N /healthz /metrics")
 	}
-	if err := serve(ctx, *listen, handler, *timeout); err != nil {
+	if len(served) > 1 {
+		log.Printf("pathdumpd: %d hosts serving on %s", len(served), *listen)
+	}
+	fmt.Println(endpoints)
+	if err := serve(ctx, *listen, handler(targets), *timeout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -406,7 +403,9 @@ func applyImpairments(c *pathdump.Cluster, spec string) (int, error) {
 }
 
 // fullTarget is the agent-backed surface the daemon serves: the base
-// Target plus every optional extension *agent.Agent provides.
+// Target plus every optional extension *agent.Agent provides. A wrapper
+// that drops one silently loses the server path built on it — without
+// RecordStreamer, records replies are built whole in memory.
 type fullTarget interface {
 	rpc.Target
 	rpc.ContextTarget
@@ -414,7 +413,13 @@ type fullTarget interface {
 	rpc.ColdStatser
 	rpc.Snapshotter
 	rpc.IncrementalSnapshotter
+	rpc.RecordStreamer
 }
+
+var (
+	_ rpc.RecordStreamer = lockedTarget{}
+	_ rpc.RecordStreamer = (*slowTarget)(nil)
+)
 
 // lockedTarget serialises against the trigger pump's sim.Run everything
 // that touches unsynchronised shared state: the control-plane mutations
@@ -461,6 +466,13 @@ func (l lockedTarget) WriteSnapshotSince(w io.Writer, since uint64) error {
 	return l.t.WriteSnapshotSince(w, since)
 }
 
+// StreamRecords passes straight through: a records scan reads only the
+// TIB, which is safe for concurrent readers (OpRecords via
+// ExecuteContext takes no lock either).
+func (l lockedTarget) StreamRecords(ctx context.Context, q query.Query, fn func(*types.Record)) error {
+	return l.t.StreamRecords(ctx, q, fn)
+}
+
 // slowTarget injects a stall into one served host's query path so e2e
 // runs can exercise hedging and partial results against real binaries.
 // The stall honours the request context: a hung-up or deadline-expired
@@ -493,6 +505,16 @@ func (s *slowTarget) ExecuteContext(ctx context.Context, q query.Query) (query.R
 		return query.Result{}, err
 	}
 	return s.fullTarget.ExecuteContext(ctx, q)
+}
+
+// StreamRecords implements rpc.RecordStreamer — the path the servers
+// take for wire-encoded records replies — with the same cancellable
+// stall.
+func (s *slowTarget) StreamRecords(ctx context.Context, q query.Query, fn func(*types.Record)) error {
+	if err := s.stall(ctx); err != nil {
+		return err
+	}
+	return s.fullTarget.StreamRecords(ctx, q, fn)
 }
 
 // serve runs the daemon with per-request deadlines and a graceful

@@ -1,20 +1,16 @@
-// Batched multi-host queries: a MultiAgentServer hosts several co-located
-// agents behind one listener (one daemon per server machine rather than
-// one per host), and HTTPTransport.QueryMany collapses the controller's
-// leaf fan-out into one /batchquery round trip per daemon. Hosts with
-// their own URLs keep using plain per-host /query, so mixed deployments
-// work; several hosts mapped onto one single-agent daemon is a
-// misconfiguration and reported as an explicit error, never answered
-// with one agent's data under many host labels.
+// Batched multi-host queries: a MultiAgentServer fronting several
+// co-located agents answers /batchquery by fanning one query out across
+// them server-side, and HTTPTransport.QueryMany collapses the
+// controller's leaf fan-out into one /batchquery round trip per daemon
+// URL. Hosts with their own URLs keep using plain per-host /query, so
+// mixed deployments work. A host mapped to a daemon that does not serve
+// it gets its own "not served here" error, never another host's data.
 package rpc
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
-	"strconv"
 	"sync"
 
 	"pathdump/internal/controller"
@@ -22,151 +18,6 @@ import (
 	"pathdump/internal/types"
 	"pathdump/internal/wire"
 )
-
-// MultiAgentServer serves the host API for several co-located agents. All
-// per-host endpoints (/query, /install, /uninstall) require the request's
-// Host field; /batchquery executes one query across many hosts
-// server-side, fanning out concurrently. Install/uninstall handlers are
-// serialised across all hosts: co-located agents share one simulator,
-// whose timer heap is not safe for concurrent mutation.
-type MultiAgentServer struct {
-	Targets map[types.HostID]Target
-	// Parallelism bounds the server-side batch fan-out (<= 0 unlimited).
-	Parallelism int
-
-	// MaxBodyBytes caps request bodies (<= 0 = DefaultMaxBody); batch
-	// installs across many hosts may need it raised.
-	MaxBodyBytes int64
-	// DisableWire forces JSON responses even for clients that offer the
-	// binary wire encoding, and rejects wire-encoded request bodies with
-	// 415 so clients fall back to JSON (mixed-version testing).
-	DisableWire bool
-	// WireCompress flate-compresses wire-encoded responses.
-	WireCompress bool
-	// Obs mounts the server's observability surface — /metrics,
-	// /healthz override, optional pprof — and instruments every
-	// endpoint (nil = uninstrumented; /healthz is served regardless).
-	Obs *ServerObs
-
-	instMu sync.Mutex
-}
-
-// target resolves one request's agent.
-func (s *MultiAgentServer) target(h *types.HostID) (Target, error) {
-	if h == nil {
-		return nil, errors.New("rpc: multi-agent server requires a host field")
-	}
-	t, ok := s.Targets[*h]
-	if !ok {
-		return nil, fmt.Errorf("rpc: host %v not served here", *h)
-	}
-	return t, nil
-}
-
-// Handler returns the daemon's HTTP mux.
-func (s *MultiAgentServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.Obs.wrap("query", func(w http.ResponseWriter, r *http.Request) {
-		var req QueryRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
-			return
-		}
-		t, err := s.target(req.Host)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		if streamQueryResponse(w, r, t, req.Query, s.DisableWire, s.WireCompress) {
-			return
-		}
-		span, cold0 := traceScan(r, t)
-		res, sc, sp, err := executeMeta(r.Context(), t, req.Query)
-		if err != nil {
-			writeExecuteError(w, err)
-			return
-		}
-		finishScan(span, t, sc, sp, cold0)
-		writeQueryResponse(w, r, s.DisableWire, s.WireCompress,
-			QueryResponse{Result: res, RecordsScanned: t.TIBSize(), SegmentsScanned: sc, SegmentsPruned: sp, Span: span})
-		query.PutRecordBuf(res.Records)
-	}))
-	mux.HandleFunc("/batchquery", s.Obs.wrap("batchquery", func(w http.ResponseWriter, r *http.Request) {
-		var req BatchQueryRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
-			return
-		}
-		replies, err := s.runBatch(r.Context(), req)
-		if err != nil {
-			writeExecuteError(w, err)
-			return
-		}
-		writeBatchResponse(w, r, s.DisableWire, s.WireCompress, replies)
-		for i := range replies {
-			query.PutRecordBuf(replies[i].Result.Records)
-		}
-	}))
-	mux.HandleFunc("/snapshot", s.Obs.wrap("snapshot", snapshotHandler(func(r *http.Request) (Target, error) {
-		n, err := strconv.Atoi(r.URL.Query().Get("host"))
-		if err != nil {
-			return nil, fmt.Errorf("rpc: /snapshot needs a numeric ?host parameter: %w", err)
-		}
-		h := types.HostID(n)
-		return s.target(&h)
-	})))
-	mux.HandleFunc("/install", s.Obs.wrap("install", func(w http.ResponseWriter, r *http.Request) {
-		var req InstallRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
-			return
-		}
-		t, err := s.target(req.Host)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		s.instMu.Lock()
-		id, err := install(t, req.Query, req.Period)
-		s.instMu.Unlock()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotImplemented)
-			return
-		}
-		encode(w, InstallResponse{ID: id})
-	}))
-	mux.HandleFunc("/uninstall", s.Obs.wrap("uninstall", func(w http.ResponseWriter, r *http.Request) {
-		var req UninstallRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
-			return
-		}
-		t, err := s.target(req.Host)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		s.instMu.Lock()
-		err = t.Uninstall(req.ID)
-		s.instMu.Unlock()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		encode(w, struct{}{})
-	}))
-	mux.HandleFunc("/stats", s.Obs.wrap("stats", func(w http.ResponseWriter, r *http.Request) {
-		total := 0
-		for _, t := range s.Targets {
-			total += t.TIBSize()
-		}
-		encode(w, map[string]int{"records": total, "hosts": len(s.Targets)})
-	}))
-	mountObs(mux, s.Obs, func() HealthStatus {
-		total := 0
-		for _, t := range s.Targets {
-			total += t.TIBSize()
-		}
-		return HealthStatus{Status: "ok", Hosts: len(s.Targets), Records: total}
-	})
-	return mux
-}
 
 // runBatch executes one query at every requested host concurrently and
 // returns replies aligned with the request order. The effective bound is
@@ -202,9 +53,9 @@ func (s *MultiAgentServer) runBatch(ctx context.Context, req BatchQueryRequest) 
 				}
 			}
 			replies[i].Host = h
-			t, ok := s.Targets[h]
-			if !ok {
-				replies[i].Error = fmt.Sprintf("rpc: host %v not served here", h)
+			t, err := s.target(&h)
+			if err != nil {
+				replies[i].Error = err.Error()
 				return
 			}
 			res, sc, sp, err := executeMeta(ctx, t, req.Query)
@@ -229,9 +80,8 @@ func (s *MultiAgentServer) runBatch(ctx context.Context, req BatchQueryRequest) 
 // URL ride one /batchquery round trip (the request carries `parallel` so
 // the daemon's server-side fan-out honours the controller's bound), and
 // lone hosts use plain per-host /query. At most `parallel` HTTP requests
-// are outstanding at once (<= 0 means unlimited). Several hosts mapped
-// to one single-agent daemon is reported as an error per slot. The
-// context rides every HTTP request, so cancellation aborts in-flight
+// are outstanding at once (<= 0 means unlimited). The context rides
+// every HTTP request, so cancellation aborts in-flight
 // round trips and the daemons' server-side fan-outs with them.
 func (t *HTTPTransport) QueryMany(ctx context.Context, hosts []types.HostID, q query.Query, parallel int) ([]controller.BatchReply, error) {
 	replies := make([]controller.BatchReply, len(hosts))
@@ -313,19 +163,7 @@ func (t *HTTPTransport) queryGroup(ctx context.Context, url string, hosts []type
 	for j, i := range idx {
 		batch[j] = hosts[i]
 	}
-	resp, status, err := t.postBatch(ctx, url, BatchQueryRequest{Hosts: batch, Query: q, Parallel: share}, sem)
-	if status == http.StatusNotFound || status == http.StatusMethodNotAllowed {
-		// Only single-agent daemons lack /batchquery, and a single-agent
-		// daemon answers /query for whichever one agent it wraps — it
-		// cannot tell hosts apart. Falling back per-host here would
-		// return that one agent's records once per requested host
-		// (silently duplicated data), so fail loudly instead.
-		err = fmt.Errorf("rpc: %s serves a single agent (no /batchquery) but %d hosts map to it — run a multi-host daemon (pathdumpd -hosts) or give each host its own URL", url, len(idx))
-		for _, i := range idx {
-			replies[i].Err = err
-		}
-		return
-	}
+	resp, err := t.postBatch(ctx, url, BatchQueryRequest{Hosts: batch, Query: q, Parallel: share}, sem)
 	if err == nil && len(resp.Replies) != len(idx) {
 		err = fmt.Errorf("rpc: %s/batchquery returned %d replies for %d hosts", url, len(resp.Replies), len(idx))
 	}
@@ -351,29 +189,24 @@ func (t *HTTPTransport) queryGroup(ctx context.Context, url string, hosts []type
 
 // postBatch issues one /batchquery round trip, holding a sem slot for the
 // request and the response decode, and follows the response Content-Type:
-// binary wire frames when the daemon took the negotiation offer, JSON from
-// older daemons. The HTTP status is reported so the caller can recognise
-// single-agent daemons (404/405).
-func (t *HTTPTransport) postBatch(ctx context.Context, base string, req BatchQueryRequest, sem chan struct{}) (BatchQueryResponse, int, error) {
+// binary wire frames when the daemon took the negotiation offer, JSON
+// otherwise.
+func (t *HTTPTransport) postBatch(ctx context.Context, base string, req BatchQueryRequest, sem chan struct{}) (BatchQueryResponse, error) {
 	var out BatchQueryResponse
 	release, err := acquire(ctx, sem)
 	if err != nil {
-		return out, 0, err
+		return out, err
 	}
 	defer release()
 	resp, err := t.doPost(ctx, base, "/batchquery", req, !t.JSONOnly)
 	if err != nil {
-		status := 0
-		if resp != nil {
-			status = resp.StatusCode
-		}
-		return out, status, err
+		return out, err
 	}
 	defer closeBody(resp)
 	if wire.IsWire(resp.Header.Get("Content-Type")) {
 		wireReplies, err := wire.ReadBatch(resp.Body)
 		if err != nil {
-			return out, resp.StatusCode, err
+			return out, err
 		}
 		out.Replies = make([]BatchQueryReply, len(wireReplies))
 		for i := range wireReplies {
@@ -386,7 +219,7 @@ func (t *HTTPTransport) postBatch(ctx context.Context, base string, req BatchQue
 				Error:           wireReplies[i].Error,
 			}
 		}
-		return out, resp.StatusCode, nil
+		return out, nil
 	}
-	return out, resp.StatusCode, json.NewDecoder(resp.Body).Decode(&out)
+	return out, json.NewDecoder(resp.Body).Decode(&out)
 }

@@ -3,6 +3,8 @@ package rpc
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"pathdump/internal/controller"
@@ -13,7 +15,7 @@ import (
 // TestBatchedQueryMatchesPerHost serves all agents from two
 // MultiAgentServer daemons (splitting the fleet in half) — the deployment
 // shape the batched query path exists for — and requires byte-identical
-// results versus per-host single-agent daemons.
+// results versus one daemon per host.
 func TestBatchedQueryMatchesPerHost(t *testing.T) {
 	sim, agents, perHost, cleanup := buildCluster(t)
 	defer cleanup()
@@ -81,10 +83,11 @@ func TestBatchedQueryMatchesPerHost(t *testing.T) {
 }
 
 // TestQueryManyRejectsSharedSingleAgentURL: pointing several hosts at one
-// single-agent daemon (no /batchquery endpoint) is a misconfiguration —
-// the daemon cannot tell hosts apart, so answering per-host would return
-// one agent's records under many host labels. QueryMany must error every
-// affected slot instead, while lone hosts keep working per-host.
+// single-host daemon is a misconfiguration. The batch reaches the
+// daemon's /batchquery, the host it serves answers with its own
+// records, and every other slot errors "not served here" — one agent's
+// records never come back under another host's label. Lone hosts keep
+// working per-host.
 func TestQueryManyRejectsSharedSingleAgentURL(t *testing.T) {
 	sim, _, tr, cleanup := buildCluster(t)
 	defer cleanup()
@@ -92,9 +95,9 @@ func TestQueryManyRejectsSharedSingleAgentURL(t *testing.T) {
 	for _, h := range sim.Topo.Hosts() {
 		hosts = append(hosts, h.ID)
 	}
-	// Lone hosts on their own single-agent daemons: per-host path, no
-	// batch endpoint needed.
-	replies, err := tr.QueryMany(context.Background(), hosts[:2], query.Query{Op: query.OpFlows, Link: types.AnyLink}, 2)
+	q := query.Query{Op: query.OpFlows, Link: types.AnyLink}
+	// Lone hosts on their own single-host daemons: per-host path.
+	replies, err := tr.QueryMany(context.Background(), hosts[:2], q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +109,31 @@ func TestQueryManyRejectsSharedSingleAgentURL(t *testing.T) {
 			t.Errorf("reply %d host = %v, want %v", i, rep.Host, hosts[i])
 		}
 	}
-
-	// Now misconfigure: two hosts share one single-agent daemon URL.
-	orig := tr.URLs[hosts[1]]
-	tr.URLs[hosts[1]] = tr.URLs[hosts[0]]
-	defer func() { tr.URLs[hosts[1]] = orig }()
-	replies, err = tr.QueryMany(context.Background(), hosts[:2], query.Query{Op: query.OpFlows, Link: types.AnyLink}, 2)
+	topk := query.Query{Op: query.OpTopK, K: 100}
+	own, _, err := tr.Query(context.Background(), hosts[0], topk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rep := range replies {
-		if rep.Err == nil {
-			t.Errorf("reply %d: shared single-agent URL did not error", i)
-		}
+	if len(own.Top) == 0 {
+		t.Fatal("served host has no flows to compare")
+	}
+
+	// Now misconfigure: two hosts share hosts[0]'s daemon URL.
+	orig := tr.URLs[hosts[1]]
+	tr.URLs[hosts[1]] = tr.URLs[hosts[0]]
+	defer func() { tr.URLs[hosts[1]] = orig }()
+	replies, err = tr.QueryMany(context.Background(), hosts[:2], topk, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replies[0].Err != nil {
+		t.Fatalf("served host errored: %v", replies[0].Err)
+	}
+	if !reflect.DeepEqual(replies[0].Result.Top, own.Top) {
+		t.Errorf("served host answered %v, want its own top flows %v", replies[0].Result.Top, own.Top)
+	}
+	if replies[1].Err == nil || !strings.Contains(replies[1].Err.Error(), "not served here") {
+		t.Errorf("unserved host on a shared URL: err = %v, want \"not served here\"", replies[1].Err)
 	}
 
 	// Unknown host in the batch yields a per-slot error, not a hang.

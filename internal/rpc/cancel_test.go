@@ -152,16 +152,17 @@ func TestControllerTimeoutOverHTTP(t *testing.T) {
 	}
 }
 
-// TestAgentServerQueryTimeout: a single-agent /query whose evaluation
+// TestAgentServerQueryTimeout: a single-host /query whose evaluation
 // outlives the per-request deadline (http.TimeoutHandler, pathdumpd's
 // -timeout flag) answers 503 and aborts the evaluation.
 func TestAgentServerQueryTimeout(t *testing.T) {
 	slow := &slowTarget{delay: 300 * time.Millisecond}
-	h := http.TimeoutHandler((&AgentServer{T: slow}).Handler(), 50*time.Millisecond, "deadline exceeded")
+	host := types.HostID(1)
+	h := http.TimeoutHandler((&MultiAgentServer{Targets: map[types.HostID]Target{host: slow}}).Handler(), 50*time.Millisecond, "deadline exceeded")
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	body, _ := json.Marshal(QueryRequest{Query: query.Query{Op: query.OpTopK, K: 5}})
+	body, _ := json.Marshal(QueryRequest{Host: &host, Query: query.Query{Op: query.OpTopK, K: 5}})
 	start := time.Now()
 	resp, err := http.Post(srv.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {

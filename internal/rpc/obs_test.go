@@ -34,7 +34,7 @@ func get(t *testing.T, url string) (int, string) {
 // TestHealthzDefault: every server answers /healthz even with no
 // observability wired — readiness probing must not depend on it.
 func TestHealthzDefault(t *testing.T) {
-	agentSrv := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: seedStore(1, 10)}}).Handler())
+	agentSrv := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{1: SnapshotTarget{Store: seedStore(1, 10)}}}).Handler())
 	defer agentSrv.Close()
 	code, body := get(t, agentSrv.URL+"/healthz")
 	if code != http.StatusOK || !strings.Contains(body, `"status":"ok"`) {
@@ -59,9 +59,9 @@ func TestHealthzDefault(t *testing.T) {
 // TestHealthzOverride: a non-ok Health callback turns /healthz into a
 // 503 so load balancers and wait_ready loops hold traffic.
 func TestHealthzOverride(t *testing.T) {
-	srv := httptest.NewServer((&AgentServer{
-		T:   SnapshotTarget{Store: seedStore(1, 10)},
-		Obs: &ServerObs{Health: func() HealthStatus { return HealthStatus{Status: "loading", Snapshot: "restoring"} }},
+	srv := httptest.NewServer((&MultiAgentServer{
+		Targets: map[types.HostID]Target{1: SnapshotTarget{Store: seedStore(1, 10)}},
+		Obs:     &ServerObs{Health: func() HealthStatus { return HealthStatus{Status: "loading", Snapshot: "restoring"} }},
 	}).Handler())
 	defer srv.Close()
 	code, body := get(t, srv.URL+"/healthz")
@@ -75,15 +75,16 @@ func TestHealthzOverride(t *testing.T) {
 // — including body-cap 413s — all visible on a /metrics scrape.
 func TestRPCMetricsMiddleware(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv := httptest.NewServer((&AgentServer{
-		T:            SnapshotTarget{Store: seedStore(1, 50)},
+	host := types.HostID(1)
+	srv := httptest.NewServer((&MultiAgentServer{
+		Targets:      map[types.HostID]Target{host: SnapshotTarget{Store: seedStore(1, 50)}},
 		MaxBodyBytes: 256,
 		Obs:          &ServerObs{Registry: reg},
 	}).Handler())
 	defer srv.Close()
 
 	// One JSON query (no Accept: wire offer).
-	body, _ := json.Marshal(QueryRequest{Query: query.Query{Op: query.OpTopK, K: 3}})
+	body, _ := json.Marshal(QueryRequest{Host: &host, Query: query.Query{Op: query.OpTopK, K: 3}})
 	resp, err := http.Post(srv.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +127,9 @@ func TestRPCMetricsMiddleware(t *testing.T) {
 func TestSlowLogEndpoint(t *testing.T) {
 	sl := obs.NewSlowLog(4)
 	sl.Add(obs.SlowQuery{Trace: "abc", Query: "topk", Dur: time.Second, At: time.Unix(1, 0)})
-	srv := httptest.NewServer((&AgentServer{
-		T:   SnapshotTarget{Store: seedStore(1, 10)},
-		Obs: &ServerObs{SlowLog: sl},
+	srv := httptest.NewServer((&MultiAgentServer{
+		Targets: map[types.HostID]Target{1: SnapshotTarget{Store: seedStore(1, 10)}},
+		Obs:     &ServerObs{SlowLog: sl},
 	}).Handler())
 	defer srv.Close()
 	code, body := get(t, srv.URL+"/slowlog")
@@ -140,14 +141,14 @@ func TestSlowLogEndpoint(t *testing.T) {
 // TestPprofOptIn: /debug/pprof/ is absent by default and mounted when
 // opted in.
 func TestPprofOptIn(t *testing.T) {
-	off := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: seedStore(1, 10)}}).Handler())
+	off := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{1: SnapshotTarget{Store: seedStore(1, 10)}}}).Handler())
 	defer off.Close()
 	if code, _ := get(t, off.URL+"/debug/pprof/"); code != http.StatusNotFound {
 		t.Fatalf("pprof without opt-in = %d, want 404", code)
 	}
-	on := httptest.NewServer((&AgentServer{
-		T:   SnapshotTarget{Store: seedStore(1, 10)},
-		Obs: &ServerObs{EnablePprof: true},
+	on := httptest.NewServer((&MultiAgentServer{
+		Targets: map[types.HostID]Target{1: SnapshotTarget{Store: seedStore(1, 10)}},
+		Obs:     &ServerObs{EnablePprof: true},
 	}).Handler())
 	defer on.Close()
 	if code, body := get(t, on.URL+"/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "profile") {
@@ -160,7 +161,7 @@ func TestPprofOptIn(t *testing.T) {
 // JSON replies, in the SpanHeader for buffered wire replies — landing
 // in QueryMeta.Span either way. Untraced requests carry no span.
 func TestTraceSpanRoundTrip(t *testing.T) {
-	srv := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: seedStore(1, 50)}}).Handler())
+	srv := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{7: SnapshotTarget{Store: seedStore(1, 50)}}}).Handler())
 	defer srv.Close()
 	urls := map[types.HostID]string{7: srv.URL}
 	q := query.Query{Op: query.OpTopK, K: 3}

@@ -1,15 +1,12 @@
 // Tests for the request side of the wire negotiation: binary request
-// bodies against modern daemons, the transparent JSON fallback against
-// daemons that reject them (415 from -json-only, 400 from pre-wire
-// JSON decoders), the per-URL fallback memory, and the no-double-install
-// guarantee the decode-before-side-effect ordering provides.
+// bodies against a daemon, the JSON bodies of JSONOnly clients, and
+// shedding an abandoned streamed reply.
 package rpc
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,7 +17,6 @@ import (
 	"time"
 
 	"pathdump/internal/query"
-	"pathdump/internal/tib"
 	"pathdump/internal/types"
 	"pathdump/internal/wire"
 )
@@ -30,207 +26,31 @@ import (
 type ctCounter struct {
 	h  http.Handler
 	mu sync.Mutex
-	// wireReqs and jsonReqs count POST bodies by encoding.
-	wireReqs, jsonReqs int
+	// wireBodies and jsonBodies count POST bodies by encoding.
+	wireBodies, jsonBodies int
 }
 
 func (c *ctCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	if wire.IsWire(r.Header.Get("Content-Type")) {
-		c.wireReqs++
+		c.wireBodies++
 	} else {
-		c.jsonReqs++
+		c.jsonBodies++
 	}
 	c.mu.Unlock()
 	c.h.ServeHTTP(w, r)
 }
 
-func (c *ctCounter) counts() (wireReqs, jsonReqs int) {
+func (c *ctCounter) counts() (wireBodies, jsonBodies int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.wireReqs, c.jsonReqs
+	return c.wireBodies, c.jsonBodies
 }
 
-// legacyDaemon emulates a daemon that predates wire-encoded requests
-// entirely: its JSON decoder chokes on a frame body and answers 400,
-// exactly like the old decode() fed frame bytes.
-func legacyDaemon(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if wire.IsWire(r.Header.Get("Content-Type")) {
-			http.Error(w, "bad request: invalid character 'P' looking for beginning of value", http.StatusBadRequest)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
-}
-
-// TestRequestSideFallbackMatrix runs the same queries through every
-// request-side pairing — binary requests against a modern daemon, a
-// -json-only daemon (415), and a pre-wire daemon (400), plus the
-// JSONRequests client mode — and requires identical results everywhere,
-// while asserting which encoding each pairing actually sent and that a
-// rejecting daemon is remembered after one probe.
-func TestRequestSideFallbackMatrix(t *testing.T) {
-	q := query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}
-	newDaemon := func(disableWire bool, legacy bool) (*ctCounter, map[types.HostID]string, []types.HostID) {
-		targets := make(map[types.HostID]Target)
-		var hosts []types.HostID
-		for i := 0; i < 3; i++ {
-			h := types.HostID(90 + i)
-			targets[h] = SnapshotTarget{Store: seedStore(90+i, 40)}
-			hosts = append(hosts, h)
-		}
-		var h http.Handler = (&MultiAgentServer{Targets: targets, DisableWire: disableWire}).Handler()
-		if legacy {
-			h = legacyDaemon(h)
-		}
-		cc := &ctCounter{h: h}
-		srv := httptest.NewServer(cc)
-		t.Cleanup(srv.Close)
-		urls := make(map[types.HostID]string)
-		for _, hh := range hosts {
-			urls[hh] = srv.URL
-		}
-		return cc, urls, hosts
-	}
-
-	type pairing struct {
-		name         string
-		disableWire  bool
-		legacy       bool
-		jsonRequests bool
-		// wantWire is how many wire-encoded request bodies the daemon
-		// should see across both rounds: all of them against a modern
-		// daemon, exactly one probe against a rejecting one, none from a
-		// JSONRequests client.
-		wantWire func(wireReqs, jsonReqs int) error
-	}
-	pairings := []pairing{
-		{name: "wire-req-modern-daemon", wantWire: func(w, j int) error {
-			if w == 0 || j != 0 {
-				return fmt.Errorf("modern daemon saw %d wire / %d json request bodies, want all wire", w, j)
-			}
-			return nil
-		}},
-		{name: "wire-req-415-daemon", disableWire: true, wantWire: func(w, j int) error {
-			if w != 1 || j == 0 {
-				return fmt.Errorf("415 daemon saw %d wire / %d json request bodies, want exactly one probe", w, j)
-			}
-			return nil
-		}},
-		{name: "wire-req-legacy-400-daemon", legacy: true, wantWire: func(w, j int) error {
-			if w != 1 || j == 0 {
-				return fmt.Errorf("legacy daemon saw %d wire / %d json request bodies, want exactly one probe", w, j)
-			}
-			return nil
-		}},
-		{name: "json-req-client-modern-daemon", jsonRequests: true, wantWire: func(w, j int) error {
-			if w != 0 || j == 0 {
-				return fmt.Errorf("JSONRequests client sent %d wire / %d json request bodies, want none wire", w, j)
-			}
-			return nil
-		}},
-	}
-
-	var want []types.Record
-	for _, p := range pairings {
-		t.Run(p.name, func(t *testing.T) {
-			cc, urls, hosts := newDaemon(p.disableWire, p.legacy)
-			tr := &HTTPTransport{URLs: urls, JSONRequests: p.jsonRequests}
-
-			// Two rounds of per-host queries plus a batch: the second
-			// round against a rejecting daemon must go straight to JSON
-			// (fallback remembered), keeping the wire-probe count at one.
-			var first []types.Record
-			for round := 0; round < 2; round++ {
-				res, meta, err := tr.Query(context.Background(), hosts[0], q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if meta.RecordsScanned != 40 || len(res.Records) != 40 {
-					t.Fatalf("round %d: %d records, meta %+v", round, len(res.Records), meta)
-				}
-				if first == nil {
-					first = res.Records
-				} else if !reflect.DeepEqual(first, res.Records) {
-					t.Fatalf("round %d diverged from round 0", round)
-				}
-			}
-			replies, err := tr.QueryMany(context.Background(), hosts, q, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, rep := range replies {
-				if rep.Err != nil {
-					t.Fatal(rep.Err)
-				}
-				if len(rep.Result.Records) != 40 {
-					t.Fatalf("batch host %v: %d records", rep.Host, len(rep.Result.Records))
-				}
-			}
-			if err := p.wantWire(cc.counts()); err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = first
-			} else if !reflect.DeepEqual(want, first) {
-				t.Fatalf("pairing %s returned different records than the baseline pairing", p.name)
-			}
-		})
-	}
-}
-
-// installCounter is a Target that counts Install invocations, proving
-// the wire→JSON request retry can never double-install: the rejection
-// happens in decode, before the handler touches the target.
-type installCounter struct {
-	SnapshotTarget
-	mu       sync.Mutex
-	installs int
-}
-
-func (t *installCounter) InstallE(q query.Query, period types.Time) (int, error) {
-	t.mu.Lock()
-	t.installs++
-	n := t.installs
-	t.mu.Unlock()
-	return n, nil
-}
-
-func (t *installCounter) count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.installs
-}
-
-func TestInstallFallbackNoDoubleExecute(t *testing.T) {
-	for _, daemon := range []string{"415", "legacy-400"} {
-		t.Run(daemon, func(t *testing.T) {
-			target := &installCounter{SnapshotTarget: SnapshotTarget{Store: tib.NewStore()}}
-			var h http.Handler = (&AgentServer{T: target, DisableWire: daemon == "415"}).Handler()
-			if daemon == "legacy-400" {
-				h = legacyDaemon(h)
-			}
-			srv := httptest.NewServer(h)
-			defer srv.Close()
-
-			host := types.HostID(5)
-			tr := &HTTPTransport{URLs: map[types.HostID]string{host: srv.URL}}
-			id, err := tr.Install(context.Background(), host, query.Query{Op: query.OpPoorTCP, Threshold: 3}, types.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if id != 1 || target.count() != 1 {
-				t.Fatalf("install ran %d times (id %d), want exactly once", target.count(), id)
-			}
-		})
-	}
-}
-
-// TestWireRequestRoundTrip pins the binary request path end to end
-// against a modern daemon: the daemon must actually receive a
-// wire-encoded body (not silently fall back) and decode every field the
-// JSON body used to carry.
+// TestWireRequestRoundTrip pins the binary request path end to end: the
+// daemon must actually receive a wire-encoded body and decode every
+// field the JSON body carries, and a JSONOnly client's JSON body must
+// come back with the same answer.
 func TestWireRequestRoundTrip(t *testing.T) {
 	targets := map[types.HostID]Target{7: SnapshotTarget{Store: seedStore(7, 25)}}
 	cc := &ctCounter{h: (&MultiAgentServer{Targets: targets}).Handler()}
@@ -254,8 +74,8 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(res.Records, jres.Records) {
 		t.Fatal("wire-request and JSON-request paths disagree on the same time-bounded query")
 	}
-	if w, _ := cc.counts(); w != 1 {
-		t.Fatalf("daemon saw %d wire request bodies, want 1", w)
+	if w, j := cc.counts(); w != 1 || j != 1 {
+		t.Fatalf("daemon saw %d wire / %d JSON request bodies, want one of each", w, j)
 	}
 }
 
@@ -264,12 +84,13 @@ func TestWireRequestRoundTrip(t *testing.T) {
 // goroutine keeps scanning for a client that hung up (run under -race in
 // CI alongside the other leak tests).
 func TestStreamClientDisconnectNoLeak(t *testing.T) {
-	srv := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: seedStore(3, 30_000)}}).Handler())
+	host := types.HostID(3)
+	srv := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{host: SnapshotTarget{Store: seedStore(3, 30_000)}}}).Handler())
 	defer srv.Close()
 	before := runtime.NumGoroutine()
 
 	for i := 0; i < 4; i++ {
-		body, _ := json.Marshal(QueryRequest{Query: query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}})
+		body, _ := json.Marshal(QueryRequest{Host: &host, Query: query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}})
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/query", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -1,17 +1,25 @@
-// Package rpc is the HTTP/JSON transport between the PathDump controller
-// and host agents — the stand-in for the paper's Flask RESTful service
-// (§3). An AgentServer exposes one agent's query/install/uninstall
-// endpoints; HTTPTransport implements controller.Transport against a set
+// Package rpc is the HTTP transport between the PathDump controller and
+// host agents — the stand-in for the paper's Flask RESTful service (§3).
+// A MultiAgentServer exposes the query/install/uninstall endpoints of
+// one or more co-located agents (a single-host daemon is a one-target
+// server); HTTPTransport implements controller.Transport against a set
 // of agent base URLs; ControllerServer accepts agent alarms.
 //
-// Endpoints (all JSON over POST unless noted):
+// Endpoints (POST unless noted; every per-host request names its host):
 //
-//	agent:      /query      {query}          → {result, records_scanned, segments_*}
-//	            /install    {query, period}  → {id}
-//	            /uninstall  {id}             → {}
-//	            /stats      (GET)            → {records, packets, invalid}
-//	            /snapshot   (GET, ?host=N)   → segment-wise TIB snapshot stream
-//	controller: /alarm      {alarm}          → {}
+//	agent:      /query      {host, query}          → {result, records_scanned, segments_*}
+//	            /batchquery {hosts, query}         → {replies}
+//	            /install    {host, query, period}  → {id}
+//	            /uninstall  {host, id}             → {}
+//	            /stats      (GET)                  → {records, hosts}
+//	            /snapshot   (GET, ?host=N)         → segment-wise TIB snapshot stream
+//	controller: /alarm      {alarm}                → {}
+//
+// Request bodies decode by Content-Type: HTTPTransport sends /query,
+// /batchquery and /install as binary wire frames (internal/wire), and
+// JSON bodies (curl, -wire json) work everywhere. Replies follow the
+// client's Accept header: the binary wire encoding when offered, JSON
+// otherwise.
 package rpc
 
 import (
@@ -210,9 +218,8 @@ func (t SnapshotTarget) WriteSnapshotSince(w io.Writer, since uint64) error {
 	return t.Store.SnapshotSince(w, since)
 }
 
-// QueryRequest is the /query body. Host is required by multi-host
-// daemons (MultiAgentServer) to pick the agent; single-agent servers
-// ignore it.
+// QueryRequest is the /query body. Host picks the agent; a request
+// without one, or naming a host the daemon does not serve, answers 404.
 type QueryRequest struct {
 	Host  *types.HostID `json:"host,omitempty"`
 	Query query.Query   `json:"query"`
@@ -281,18 +288,22 @@ type AlarmRequest struct {
 	Alarm types.Alarm `json:"alarm"`
 }
 
-// AgentServer serves one agent's host API. Install/uninstall handlers
-// are serialised: agent installs register timers on the agent's
-// simulator, whose event heap is not safe for concurrent mutation.
-type AgentServer struct {
-	T Target
+// MultiAgentServer serves the host API for one or more co-located agents
+// behind one listener: pathdumpd runs one per machine, and a single-host
+// daemon is a one-target server. Every per-host endpoint (/query,
+// /install, /uninstall, /snapshot) resolves its agent from the request's
+// host; /batchquery executes one query across many hosts server-side,
+// fanning out concurrently. Install/uninstall handlers are serialised
+// across all hosts: co-located agents share one simulator, whose timer
+// heap is not safe for concurrent mutation.
+type MultiAgentServer struct {
+	Targets map[types.HostID]Target
+	// Parallelism bounds the server-side batch fan-out (<= 0 unlimited).
+	Parallelism int
 
-	// MaxBodyBytes caps request bodies (<= 0 = DefaultMaxBody).
+	// MaxBodyBytes caps request bodies (<= 0 = DefaultMaxBody); batch
+	// installs across many hosts may need it raised.
 	MaxBodyBytes int64
-	// DisableWire forces JSON responses even for clients that offer the
-	// binary wire encoding, and rejects wire-encoded request bodies with
-	// 415 so clients fall back to JSON (mixed-version testing).
-	DisableWire bool
 	// WireCompress flate-compresses wire-encoded responses.
 	WireCompress bool
 	// Obs mounts the server's observability surface — /metrics,
@@ -303,36 +314,73 @@ type AgentServer struct {
 	instMu sync.Mutex
 }
 
-// Handler returns the agent's HTTP mux.
-func (s *AgentServer) Handler() http.Handler {
+// target resolves one request's agent.
+func (s *MultiAgentServer) target(h *types.HostID) (Target, error) {
+	if h == nil {
+		return nil, errors.New("rpc: request names no host")
+	}
+	t, ok := s.Targets[*h]
+	if !ok {
+		return nil, fmt.Errorf("rpc: host %v not served here", *h)
+	}
+	return t, nil
+}
+
+// Handler returns the daemon's HTTP mux.
+func (s *MultiAgentServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.Obs.wrap("query", func(w http.ResponseWriter, r *http.Request) {
 		var req QueryRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
+		if !decode(w, r, &req, s.MaxBodyBytes) {
 			return
 		}
-		if streamQueryResponse(w, r, s.T, req.Query, s.DisableWire, s.WireCompress) {
+		t, err := s.target(req.Host)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		span, cold0 := traceScan(r, s.T)
-		res, sc, sp, err := executeMeta(r.Context(), s.T, req.Query)
+		if streamQueryResponse(w, r, t, req.Query, s.WireCompress) {
+			return
+		}
+		span, cold0 := traceScan(r, t)
+		res, sc, sp, err := executeMeta(r.Context(), t, req.Query)
 		if err != nil {
 			writeExecuteError(w, err)
 			return
 		}
-		finishScan(span, s.T, sc, sp, cold0)
-		writeQueryResponse(w, r, s.DisableWire, s.WireCompress,
-			QueryResponse{Result: res, RecordsScanned: s.T.TIBSize(), SegmentsScanned: sc, SegmentsPruned: sp, Span: span})
+		finishScan(span, t, sc, sp, cold0)
+		writeQueryResponse(w, r, s.WireCompress,
+			QueryResponse{Result: res, RecordsScanned: t.TIBSize(), SegmentsScanned: sc, SegmentsPruned: sp, Span: span})
 		query.PutRecordBuf(res.Records)
 	}))
-	mux.HandleFunc("/snapshot", s.Obs.wrap("snapshot", snapshotHandler(func(*http.Request) (Target, error) { return s.T, nil })))
+	mux.HandleFunc("/batchquery", s.Obs.wrap("batchquery", func(w http.ResponseWriter, r *http.Request) {
+		var req BatchQueryRequest
+		if !decode(w, r, &req, s.MaxBodyBytes) {
+			return
+		}
+		replies, err := s.runBatch(r.Context(), req)
+		if err != nil {
+			writeExecuteError(w, err)
+			return
+		}
+		writeBatchResponse(w, r, s.WireCompress, replies)
+		for i := range replies {
+			query.PutRecordBuf(replies[i].Result.Records)
+		}
+	}))
+	mux.HandleFunc("/snapshot", s.Obs.wrap("snapshot", s.handleSnapshot))
 	mux.HandleFunc("/install", s.Obs.wrap("install", func(w http.ResponseWriter, r *http.Request) {
 		var req InstallRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
+		if !decode(w, r, &req, s.MaxBodyBytes) {
+			return
+		}
+		t, err := s.target(req.Host)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
 		s.instMu.Lock()
-		id, err := install(s.T, req.Query, req.Period)
+		id, err := install(t, req.Query, req.Period)
 		s.instMu.Unlock()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotImplemented)
@@ -342,11 +390,16 @@ func (s *AgentServer) Handler() http.Handler {
 	}))
 	mux.HandleFunc("/uninstall", s.Obs.wrap("uninstall", func(w http.ResponseWriter, r *http.Request) {
 		var req UninstallRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
+		if !decode(w, r, &req, s.MaxBodyBytes) {
+			return
+		}
+		t, err := s.target(req.Host)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
 		s.instMu.Lock()
-		err := s.T.Uninstall(req.ID)
+		err = t.Uninstall(req.ID)
 		s.instMu.Unlock()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
@@ -355,12 +408,73 @@ func (s *AgentServer) Handler() http.Handler {
 		encode(w, struct{}{})
 	}))
 	mux.HandleFunc("/stats", s.Obs.wrap("stats", func(w http.ResponseWriter, r *http.Request) {
-		encode(w, map[string]int{"records": s.T.TIBSize()})
+		encode(w, map[string]int{"records": s.records(), "hosts": len(s.Targets)})
 	}))
 	mountObs(mux, s.Obs, func() HealthStatus {
-		return HealthStatus{Status: "ok", Hosts: 1, Records: s.T.TIBSize()}
+		return HealthStatus{Status: "ok", Hosts: len(s.Targets), Records: s.records()}
 	})
 	return mux
+}
+
+// records totals the TIB records resident across the served agents.
+func (s *MultiAgentServer) records() int {
+	total := 0
+	for _, t := range s.Targets {
+		total += t.TIBSize()
+	}
+	return total
+}
+
+// handleSnapshot serves GET /snapshot?host=N: the host's snapshot
+// streams straight from the store's consistent capture to the socket —
+// ingest continues while it is written. With &since_seq=N the target
+// serves an incremental stream instead (see IncrementalSnapshotter).
+// Targets without the needed support answer 501.
+func (s *MultiAgentServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		return
+	}
+	n, err := strconv.Atoi(r.URL.Query().Get("host"))
+	if err != nil {
+		http.Error(w, "rpc: /snapshot needs a numeric ?host parameter: "+err.Error(), http.StatusNotFound)
+		return
+	}
+	h := types.HostID(n)
+	t, err := s.target(&h)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	}
+	var since uint64
+	if raw := r.URL.Query().Get("since_seq"); raw != "" {
+		since, err = strconv.ParseUint(raw, 10, 64)
+		if err != nil {
+			http.Error(w, "rpc: since_seq must be an unsigned integer", http.StatusBadRequest)
+			return
+		}
+	}
+	// The status line is already committed once bytes flow; a
+	// mid-stream failure surfaces to the puller as a truncated body,
+	// which the loader rejects (no terminator) without touching the
+	// store it would have replaced.
+	if since > 0 {
+		isn, ok := t.(IncrementalSnapshotter)
+		if !ok {
+			http.Error(w, "rpc: target cannot stream incremental snapshots", http.StatusNotImplemented)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_ = isn.WriteSnapshotSince(w, since)
+		return
+	}
+	sn, ok := t.(Snapshotter)
+	if !ok {
+		http.Error(w, "rpc: target cannot stream snapshots", http.StatusNotImplemented)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_ = sn.WriteSnapshot(w)
 }
 
 // ControllerServer accepts alarms from remote agents.
@@ -386,7 +500,7 @@ func (s *ControllerServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/alarm", s.Obs.wrap("alarm", func(w http.ResponseWriter, r *http.Request) {
 		var req AlarmRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, false) {
+		if !decode(w, r, &req, s.MaxBodyBytes) {
 			return
 		}
 		s.C.RaiseAlarmContext(r.Context(), req.Alarm)
@@ -482,29 +596,17 @@ func (c *AlarmClient) client() *http.Client {
 }
 
 // HTTPTransport implements controller.Transport over per-host agent URLs.
-// Both directions are negotiated: unless JSONOnly is set, requests offer
-// the binary wire encoding (internal/wire) in Accept and the decoder
-// follows the response Content-Type, so daemons that predate the wire
-// format keep answering JSON and everything still works. Query, batch and
-// install request bodies travel wire-encoded too; a daemon that rejects
-// one (415 from a daemon with wire requests disabled, 400 from one that
-// predates them and choked JSON-parsing the frame) gets that request
-// retried as JSON — safe, servers decode before any side effect — and is
-// remembered, so later requests to that base URL go straight to JSON.
+// Query, batch and install request bodies travel as binary wire frames
+// (internal/wire); every request offers the wire encoding for its reply
+// in Accept, and the decoder follows the response Content-Type, so a
+// daemon (or a proxy in front of one) that answers JSON still works.
 type HTTPTransport struct {
 	URLs   map[types.HostID]string
 	Client *http.Client
 	// JSONOnly suppresses the wire format in both directions: JSON
-	// request bodies and no wire Accept offer (mixed-version testing,
-	// debugging with readable bodies).
+	// request bodies and no wire Accept offer (debugging with readable
+	// bodies).
 	JSONOnly bool
-	// JSONRequests forces JSON request bodies while still accepting
-	// wire-encoded responses (request-side mixed-version testing).
-	JSONRequests bool
-
-	// jsonReq remembers base URLs whose daemons rejected a wire-encoded
-	// request body; keys are base URLs, values are unused.
-	jsonReq sync.Map
 }
 
 func (t *HTTPTransport) client() *http.Client {
@@ -512,15 +614,6 @@ func (t *HTTPTransport) client() *http.Client {
 		return t.Client
 	}
 	return DefaultClient
-}
-
-func (t *HTTPTransport) post(ctx context.Context, host types.HostID, path string, in, out interface{}) error {
-	base, ok := t.URLs[host]
-	if !ok {
-		return fmt.Errorf("rpc: no URL for host %v", host)
-	}
-	_, err := t.postStatus(ctx, base, path, in, out, nil)
-	return err
 }
 
 // acquire takes one slot of sem (nil = unlimited), abandoning the wait if
@@ -553,83 +646,33 @@ func putReqBuf(buf *bytes.Buffer) {
 	reqBufs.Put(buf)
 }
 
+// encodeRequest writes in's request body into buf and returns its
+// Content-Type: the binary wire frame for the request types that have
+// one, JSON for the rest and for JSONOnly transports.
+func (t *HTTPTransport) encodeRequest(buf *bytes.Buffer, in interface{}) (string, error) {
+	if !t.JSONOnly {
+		switch req := in.(type) {
+		case QueryRequest:
+			return wire.ContentType, wire.WriteQueryRequest(buf, req.Host, &req.Query)
+		case BatchQueryRequest:
+			return wire.ContentType, wire.WriteBatchRequest(buf, req.Hosts, &req.Query, req.Parallel)
+		case InstallRequest:
+			return wire.ContentType, wire.WriteInstallRequest(buf, req.Host, &req.Query, req.Period)
+		}
+	}
+	return "application/json", json.NewEncoder(buf).Encode(in)
+}
+
 // doPost issues one POST and returns the raw 200 response, body unread,
 // so callers pick the decoder the response Content-Type calls for. With
 // acceptWire the request offers the binary wire encoding for the
-// response. The request body itself is wire-encoded when the request
-// type has a frame and the transport (and the daemon, per the fallback
-// cache) allows it; a daemon that rejects the frame gets one transparent
-// JSON retry and is remembered. A non-200 answer closes the body and
-// surfaces as *StatusError (the response is still returned for its
-// status code).
+// response. A non-200 answer closes the body and surfaces as
+// *StatusError.
 func (t *HTTPTransport) doPost(ctx context.Context, base, path string, in interface{}, acceptWire bool) (*http.Response, error) {
-	if t.wireRequestEligible(base, in) {
-		resp, err := t.doPostOnce(ctx, base, path, in, acceptWire, true)
-		if !wireRequestRejected(err) {
-			return resp, err
-		}
-		// The daemon spoke, authoritatively, before any side effect: it
-		// cannot (415) or will not (400, a pre-wire daemon JSON-parsing
-		// the frame) decode wire requests. Remember and retry as JSON.
-		t.jsonReq.Store(base, struct{}{})
-	}
-	return t.doPostOnce(ctx, base, path, in, acceptWire, false)
-}
-
-// wireRequestEligible reports whether this request should be sent
-// wire-encoded: the transport allows it, the request type has a frame,
-// and the daemon has not previously rejected one.
-func (t *HTTPTransport) wireRequestEligible(base string, in interface{}) bool {
-	if t.JSONOnly || t.JSONRequests {
-		return false
-	}
-	switch in.(type) {
-	case QueryRequest, BatchQueryRequest, InstallRequest:
-	default:
-		return false
-	}
-	_, marked := t.jsonReq.Load(base)
-	return !marked
-}
-
-// wireRequestRejected recognises a server's authoritative refusal of a
-// wire-encoded request body: 415 from a daemon with wire requests
-// disabled, 400 from a pre-wire daemon whose JSON decoder choked on the
-// frame. Both fail in decode, before any handler side effect, so the
-// JSON retry cannot double-execute anything.
-func wireRequestRejected(err error) bool {
-	var se *StatusError
-	if !errors.As(err, &se) {
-		return false
-	}
-	return se.Code == http.StatusUnsupportedMediaType || se.Code == http.StatusBadRequest
-}
-
-// encodeWireRequest writes in's binary request frame into buf.
-func encodeWireRequest(buf *bytes.Buffer, in interface{}) error {
-	switch req := in.(type) {
-	case QueryRequest:
-		return wire.WriteQueryRequest(buf, req.Host, &req.Query)
-	case BatchQueryRequest:
-		return wire.WriteBatchRequest(buf, req.Hosts, &req.Query, req.Parallel)
-	case InstallRequest:
-		return wire.WriteInstallRequest(buf, req.Host, &req.Query, req.Period)
-	default:
-		return fmt.Errorf("rpc: no wire request frame for %T", in)
-	}
-}
-
-func (t *HTTPTransport) doPostOnce(ctx context.Context, base, path string, in interface{}, acceptWire, wireReq bool) (*http.Response, error) {
 	buf := reqBufs.Get().(*bytes.Buffer)
 	buf.Reset()
-	contentType := "application/json"
-	if wireReq {
-		if err := encodeWireRequest(buf, in); err != nil {
-			putReqBuf(buf)
-			return nil, err
-		}
-		contentType = wire.ContentType
-	} else if err := json.NewEncoder(buf).Encode(in); err != nil {
+	contentType, err := t.encodeRequest(buf, in)
+	if err != nil {
 		putReqBuf(buf)
 		return nil, err
 	}
@@ -655,7 +698,7 @@ func (t *HTTPTransport) doPostOnce(ctx context.Context, base, path string, in in
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		resp.Body.Close()
-		return resp, &StatusError{Code: resp.StatusCode, URL: base + path, Status: resp.Status, Msg: string(bytes.TrimSpace(msg))}
+		return nil, &StatusError{Code: resp.StatusCode, URL: base + path, Status: resp.Status, Msg: string(bytes.TrimSpace(msg))}
 	}
 	return resp, nil
 }
@@ -667,34 +710,27 @@ func closeBody(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// postStatus posts to an explicit base URL, optionally throttled by sem,
-// decodes the JSON response into out, and reports the HTTP status so
-// callers can detect missing endpoints. The request carries ctx
-// (http.NewRequestWithContext), so cancelling it aborts the dial, the
-// in-flight request, and the response read; waiting on a semaphore slot
-// is interruptible too. postStatus never offers the wire encoding, so a
-// wire-typed reply means the server ignored the negotiation; it is
-// reported as *UnexpectedContentTypeError instead of being fed to the
-// JSON decoder, whose "invalid character" noise would hide the real
-// mismatch.
-func (t *HTTPTransport) postStatus(ctx context.Context, base, path string, in, out interface{}, sem chan struct{}) (int, error) {
-	release, err := acquire(ctx, sem)
-	if err != nil {
-		return 0, err
+// post issues a control-plane POST (install, uninstall) to host's daemon
+// and decodes the JSON reply into out. The request carries ctx, so
+// cancelling it aborts the dial, the in-flight request, and the
+// response read. post never offers the wire encoding, so a wire-typed
+// reply means the server ignored the negotiation; it is reported as
+// *UnexpectedContentTypeError instead of being fed to the JSON decoder,
+// whose "invalid character" noise would hide the real mismatch.
+func (t *HTTPTransport) post(ctx context.Context, host types.HostID, path string, in, out interface{}) error {
+	base, ok := t.URLs[host]
+	if !ok {
+		return fmt.Errorf("rpc: no URL for host %v", host)
 	}
-	defer release()
 	resp, err := t.doPost(ctx, base, path, in, false)
 	if err != nil {
-		if resp != nil {
-			return resp.StatusCode, err
-		}
-		return 0, err
+		return err
 	}
 	defer closeBody(resp)
 	if ct := resp.Header.Get("Content-Type"); wire.IsWire(ct) {
-		return resp.StatusCode, &UnexpectedContentTypeError{URL: base + path, ContentType: ct}
+		return &UnexpectedContentTypeError{URL: base + path, ContentType: ct}
 	}
-	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // UnexpectedContentTypeError reports a reply whose Content-Type the
@@ -777,80 +813,12 @@ func (t *HTTPTransport) Uninstall(ctx context.Context, host types.HostID, id int
 	return t.post(ctx, host, "/uninstall", UninstallRequest{Host: &host, ID: id}, &out)
 }
 
-// snapshotHandler builds the GET /snapshot handler over a target
-// resolver (single-agent servers always answer with their one target;
-// multi-agent daemons pick by the ?host query parameter). The snapshot
-// streams straight from the store's consistent capture to the socket —
-// ingest continues while it is written. With ?since_seq=N the target
-// serves an incremental stream instead (see IncrementalSnapshotter).
-// Targets without the needed support answer 501.
-func snapshotHandler(resolve func(*http.Request) (Target, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		t, err := resolve(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		var since uint64
-		if raw := r.URL.Query().Get("since_seq"); raw != "" {
-			since, err = strconv.ParseUint(raw, 10, 64)
-			if err != nil {
-				http.Error(w, "rpc: since_seq must be an unsigned integer", http.StatusBadRequest)
-				return
-			}
-		}
-		// The status line is already committed once bytes flow; a
-		// mid-stream failure surfaces to the puller as a truncated body,
-		// which the loader rejects (no terminator) without touching the
-		// store it would have replaced.
-		if since > 0 {
-			isn, ok := t.(IncrementalSnapshotter)
-			if !ok {
-				http.Error(w, "rpc: target cannot stream incremental snapshots", http.StatusNotImplemented)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_ = isn.WriteSnapshotSince(w, since)
-			return
-		}
-		sn, ok := t.(Snapshotter)
-		if !ok {
-			http.Error(w, "rpc: target cannot stream snapshots", http.StatusNotImplemented)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_ = sn.WriteSnapshot(w)
-	}
-}
-
 // PullSnapshot captures a live daemon's TIB snapshot for one host: GET
 // /snapshot, streamed into w. The byte count written is returned; a
 // non-200 answer surfaces as a *StatusError (501 = the target cannot
 // snapshot).
 func (t *HTTPTransport) PullSnapshot(ctx context.Context, host types.HostID, w io.Writer) (int64, error) {
-	base, ok := t.URLs[host]
-	if !ok {
-		return 0, fmt.Errorf("rpc: no URL for host %v", host)
-	}
-	url := fmt.Sprintf("%s/snapshot?host=%d", base, uint32(host))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := t.client().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, &StatusError{Code: resp.StatusCode, URL: base + "/snapshot", Status: resp.Status, Msg: string(bytes.TrimSpace(msg))}
-	}
-	return io.Copy(w, resp.Body)
+	return t.pullSnapshot(ctx, host, 0, w)
 }
 
 // PullSnapshotSince captures an incremental snapshot for one host: GET
@@ -861,11 +829,20 @@ func (t *HTTPTransport) PullSnapshot(ctx context.Context, host types.HostID, w i
 // which handles both. Byte count written is returned; a non-200 answer
 // surfaces as a *StatusError (501 = the target cannot serve deltas).
 func (t *HTTPTransport) PullSnapshotSince(ctx context.Context, host types.HostID, since uint64, w io.Writer) (int64, error) {
+	return t.pullSnapshot(ctx, host, since, w)
+}
+
+// pullSnapshot is the GET behind both pulls: since 0 asks for a full
+// snapshot, anything else for the delta past that sequence.
+func (t *HTTPTransport) pullSnapshot(ctx context.Context, host types.HostID, since uint64, w io.Writer) (int64, error) {
 	base, ok := t.URLs[host]
 	if !ok {
 		return 0, fmt.Errorf("rpc: no URL for host %v", host)
 	}
-	url := fmt.Sprintf("%s/snapshot?host=%d&since_seq=%d", base, uint32(host), since)
+	url := fmt.Sprintf("%s/snapshot?host=%d", base, uint32(host))
+	if since > 0 {
+		url += fmt.Sprintf("&since_seq=%d", since)
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, err
@@ -910,12 +887,11 @@ const DefaultMaxBody = 16 << 20
 
 // decode parses a request body capped at limit bytes (<= 0 means
 // DefaultMaxBody): a body marked with the wire Content-Type decodes
-// through the binary request frames (unless disableWire emulates an old
-// daemon, answering 415 so the client falls back to JSON), anything else
-// decodes as JSON. An over-limit body answers 413 with an explicit
-// message; it used to surface as a baffling 400 "unexpected EOF" when the
-// cap was a bare io.LimitReader silently truncating the stream.
-func decode(w http.ResponseWriter, r *http.Request, v interface{}, limit int64, disableWire bool) bool {
+// through the binary request frames, anything else decodes as JSON. An
+// over-limit body answers 413 with an explicit message, where a bare
+// io.LimitReader would truncate the stream silently and surface as a
+// baffling 400 "unexpected EOF".
+func decode(w http.ResponseWriter, r *http.Request, v interface{}, limit int64) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
@@ -924,18 +900,13 @@ func decode(w http.ResponseWriter, r *http.Request, v interface{}, limit int64, 
 		limit = DefaultMaxBody
 	}
 	body := http.MaxBytesReader(w, r.Body, limit)
+	var err error
 	if wire.IsWire(r.Header.Get("Content-Type")) {
-		if disableWire {
-			http.Error(w, "rpc: wire-encoded requests disabled here", http.StatusUnsupportedMediaType)
-			return false
-		}
-		if err := decodeWireRequest(body, v); err != nil {
-			writeDecodeError(w, err)
-			return false
-		}
-		return true
+		err = decodeWireRequest(body, v)
+	} else {
+		err = json.NewDecoder(body).Decode(v)
 	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	if err != nil {
 		writeDecodeError(w, err)
 		return false
 	}
@@ -943,13 +914,11 @@ func decode(w http.ResponseWriter, r *http.Request, v interface{}, limit int64, 
 }
 
 // errWireEndpoint marks a wire-encoded body posted to an endpoint that
-// has no binary request frame (alarms, uninstalls); decode answers 415 so
-// the client retries as JSON.
+// has no binary request frame (alarms, uninstalls); decode answers 415.
 var errWireEndpoint = errors.New("rpc: endpoint does not accept wire-encoded requests")
 
 // decodeWireRequest maps the handler's request struct onto its wire frame
-// decoder. Decoding fails before any handler side effect, so a client may
-// safely retry the same request as JSON.
+// decoder.
 func decodeWireRequest(body io.Reader, v interface{}) error {
 	switch req := v.(type) {
 	case *QueryRequest:
@@ -1007,14 +976,14 @@ func encode(w http.ResponseWriter, v interface{}) {
 }
 
 // writeQueryResponse answers /query in whichever encoding the request
-// negotiated: the binary wire format when the client offered it (and the
-// server hasn't disabled it), JSON otherwise. The wire path streams
+// negotiated: the binary wire format when the client offered it, JSON
+// otherwise. The wire path streams
 // columns straight to the socket instead of buffering the whole reply.
 // Once the first body byte is out the status line is committed, so a
 // mid-stream write failure just truncates the frame — the client-side
 // decoder rejects truncated frames explicitly.
-func writeQueryResponse(w http.ResponseWriter, r *http.Request, disableWire, compress bool, resp QueryResponse) {
-	if disableWire || !wire.Accepted(r.Header.Get("Accept")) {
+func writeQueryResponse(w http.ResponseWriter, r *http.Request, compress bool, resp QueryResponse) {
+	if !wire.Accepted(r.Header.Get("Accept")) {
 		encode(w, resp)
 		return
 	}
@@ -1033,8 +1002,8 @@ func writeQueryResponse(w http.ResponseWriter, r *http.Request, disableWire, com
 }
 
 // writeBatchResponse is writeQueryResponse for /batchquery.
-func writeBatchResponse(w http.ResponseWriter, r *http.Request, disableWire, compress bool, replies []BatchQueryReply) {
-	if disableWire || !wire.Accepted(r.Header.Get("Accept")) {
+func writeBatchResponse(w http.ResponseWriter, r *http.Request, compress bool, replies []BatchQueryReply) {
+	if !wire.Accepted(r.Header.Get("Accept")) {
 		encode(w, BatchQueryResponse{Replies: replies})
 		return
 	}

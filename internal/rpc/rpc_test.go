@@ -16,7 +16,8 @@ import (
 )
 
 // buildCluster wires a 4-ary fat-tree with agents, seeds traffic, and
-// exposes every agent over an httptest server.
+// exposes every agent over its own one-target httptest server, the shape
+// of a single-host pathdumpd.
 func buildCluster(t *testing.T) (*netsim.Sim, map[types.HostID]*agent.Agent, *HTTPTransport, func()) {
 	t.Helper()
 	topo, err := topology.FatTree(4)
@@ -50,7 +51,7 @@ func buildCluster(t *testing.T) (*netsim.Sim, map[types.HostID]*agent.Agent, *HT
 	urls := make(map[types.HostID]string)
 	var servers []*httptest.Server
 	for id, a := range agents {
-		srv := httptest.NewServer((&AgentServer{T: a}).Handler())
+		srv := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{id: a}}).Handler())
 		servers = append(servers, srv)
 		urls[id] = srv.URL
 	}

@@ -23,7 +23,7 @@ func TestSnapshotTargetUnsupportedOp(t *testing.T) {
 		Path:  types.Path{0, 8, 16},
 		STime: 0, ETime: 5, Bytes: 700, Pkts: 7,
 	})
-	srv := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: store}}).Handler())
+	srv := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{1: SnapshotTarget{Store: store}}}).Handler())
 	defer srv.Close()
 	tr := &HTTPTransport{URLs: map[types.HostID]string{1: srv.URL}}
 
@@ -72,7 +72,7 @@ func TestSnapshotTargetUnsupportedOp(t *testing.T) {
 // TestSnapshotEndpointPullAndServe: GET /snapshot streams a live store's
 // segment-wise snapshot; the pulled bytes restore into an offline store
 // that answers the same queries — the full -pull-snapshot round trip,
-// against both server shapes.
+// against a single-host and a multi-host daemon.
 func TestSnapshotEndpointPullAndServe(t *testing.T) {
 	store := tib.NewStoreConfig(tib.Config{SegmentRecords: 64})
 	for i := 0; i < 1000; i++ {
@@ -82,10 +82,11 @@ func TestSnapshotEndpointPullAndServe(t *testing.T) {
 			STime: types.Time(i), ETime: types.Time(i + 5), Bytes: uint64(i), Pkts: 1,
 		})
 	}
-	srv := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: store}}).Handler())
+	srv := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{1: SnapshotTarget{Store: store}}}).Handler())
 	defer srv.Close()
 	ms := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{
 		3: SnapshotTarget{Store: store},
+		4: SnapshotTarget{Store: tib.NewStore()},
 	}}).Handler())
 	defer ms.Close()
 
@@ -93,8 +94,8 @@ func TestSnapshotEndpointPullAndServe(t *testing.T) {
 		url  string
 		host types.HostID
 	}{
-		"single-agent": {srv.URL, 1},
-		"multi-agent":  {ms.URL, 3},
+		"single-host": {srv.URL, 1},
+		"multi-host":  {ms.URL, 3},
 	} {
 		tr := &HTTPTransport{URLs: map[types.HostID]string{tc.host: tc.url}}
 		var buf bytes.Buffer
@@ -113,7 +114,7 @@ func TestSnapshotEndpointPullAndServe(t *testing.T) {
 			t.Fatalf("%s: restored %d of %d records", name, restored.Len(), store.Len())
 		}
 		// The restored store serves queries offline through SnapshotTarget.
-		off := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: restored}}).Handler())
+		off := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{tc.host: SnapshotTarget{Store: restored}}}).Handler())
 		offTr := &HTTPTransport{URLs: map[types.HostID]string{tc.host: off.URL}}
 		res, meta, err := offTr.Query(context.Background(), tc.host,
 			query.Query{Op: query.OpFlows, Link: types.LinkID{A: 8, B: 16}})
@@ -126,13 +127,13 @@ func TestSnapshotEndpointPullAndServe(t *testing.T) {
 		}
 	}
 
-	// A multi-agent daemon rejects snapshot pulls for hosts it does not
-	// serve, and a target without snapshot support answers 501.
+	// A daemon rejects snapshot pulls for hosts it does not serve, and a
+	// target without snapshot support answers 501.
 	trBad := &HTTPTransport{URLs: map[types.HostID]string{9: ms.URL}}
 	if _, err := trBad.PullSnapshot(context.Background(), 9, &bytes.Buffer{}); err == nil {
 		t.Error("snapshot pull for an unserved host did not error")
 	}
-	plain := httptest.NewServer((&AgentServer{T: noSnapshotTarget{}}).Handler())
+	plain := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{1: noSnapshotTarget{}}}).Handler())
 	defer plain.Close()
 	trPlain := &HTTPTransport{URLs: map[types.HostID]string{1: plain.URL}}
 	_, err := trPlain.PullSnapshot(context.Background(), 1, &bytes.Buffer{})

@@ -35,7 +35,7 @@ func TestStandbyReplicaSync(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		store.Add(standbyRecord(i))
 	}
-	srv := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: store}}).Handler())
+	srv := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{1: SnapshotTarget{Store: store}}}).Handler())
 	defer srv.Close()
 	tr := &HTTPTransport{URLs: map[types.HostID]string{1: srv.URL}}
 

@@ -43,17 +43,17 @@ func (t SnapshotTarget) StreamRecords(ctx context.Context, q query.Query, fn fun
 }
 
 // streamQueryResponse serves a records op as a chunked wire frame when
-// everything lines up — the op is OpRecords, the server has wire
-// responses enabled, the client accepted them, and the target streams —
-// and reports whether it handled the request. Any other combination
-// returns false and the caller takes the materialised path.
+// everything lines up — the op is OpRecords, the client accepted wire
+// responses, and the target streams — and reports whether it handled
+// the request. Any other combination returns false and the caller takes
+// the materialised path.
 //
 // Once the first chunk is written the HTTP status is committed, so a
 // mid-scan failure (in practice: the client hung up) cannot turn into an
 // error status; the writer is abandoned instead, leaving a truncated
 // frame the client's decoder rejects.
-func streamQueryResponse(w http.ResponseWriter, r *http.Request, t Target, q query.Query, disableWire, compress bool) bool {
-	if q.Op != query.OpRecords || disableWire || !wire.Accepted(r.Header.Get("Accept")) {
+func streamQueryResponse(w http.ResponseWriter, r *http.Request, t Target, q query.Query, compress bool) bool {
+	if q.Op != query.OpRecords || !wire.Accepted(r.Header.Get("Accept")) {
 		return false
 	}
 	sr, ok := t.(RecordStreamer)

@@ -1,5 +1,5 @@
-// Tests for the binary wire data plane: content negotiation and the
-// mixed-version fallback matrix, body-size limits, well-formed error
+// Tests for the binary wire data plane: content negotiation across
+// client/server encoding pairings, body-size limits, well-formed error
 // responses, alarm drop accounting, and racy fan-out over the pooled
 // transport.
 package rpc
@@ -50,9 +50,20 @@ func seedStore(host int, nrec int) *tib.Store {
 	return st
 }
 
+// declineWire stands in for a server that never answers in the wire
+// encoding (say, behind a proxy that rewrites Accept): it drops the
+// client's offer before the daemon sees it, so replies come back JSON
+// while request bodies still decode by their Content-Type.
+func declineWire(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Accept")
+		h.ServeHTTP(w, r)
+	})
+}
+
 // multiDaemon starts one MultiAgentServer over nhosts snapshot targets
-// starting at host ID base.
-func multiDaemon(t *testing.T, base, nhosts, nrec int, disableWire, compress bool) (*httptest.Server, []types.HostID) {
+// starting at host ID base; jsonReplies puts it behind declineWire.
+func multiDaemon(t *testing.T, base, nhosts, nrec int, jsonReplies, compress bool) (*httptest.Server, []types.HostID) {
 	t.Helper()
 	targets := make(map[types.HostID]Target)
 	var hosts []types.HostID
@@ -61,34 +72,39 @@ func multiDaemon(t *testing.T, base, nhosts, nrec int, disableWire, compress boo
 		targets[h] = SnapshotTarget{Store: seedStore(base+i, nrec)}
 		hosts = append(hosts, h)
 	}
-	srv := httptest.NewServer((&MultiAgentServer{Targets: targets, DisableWire: disableWire, WireCompress: compress}).Handler())
+	h := (&MultiAgentServer{Targets: targets, WireCompress: compress}).Handler()
+	if jsonReplies {
+		h = declineWire(h)
+	}
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return srv, hosts
 }
 
 // TestWireFallbackMatrix runs the same query across every client/server
-// version pairing — wire-speaking and JSON-only on both ends, plus a
-// compressing server — and requires identical results from all of them,
-// through both the per-host and the batched paths.
+// encoding pairing — a binary or -wire json client against a server
+// that answers wire, one that answers JSON, and a compressing one — and
+// requires identical results from all of them, through both the
+// per-host and the batched paths.
 func TestWireFallbackMatrix(t *testing.T) {
 	type mode struct {
-		name        string
-		jsonClient  bool
-		disableWire bool
-		compress    bool
+		name       string
+		jsonClient bool
+		jsonServer bool
+		compress   bool
 	}
 	modes := []mode{
 		{name: "binary-client-wire-server"},
-		{name: "binary-client-json-server", disableWire: true},
+		{name: "binary-client-json-server", jsonServer: true},
 		{name: "json-client-wire-server", jsonClient: true},
-		{name: "json-client-json-server", jsonClient: true, disableWire: true},
+		{name: "json-client-json-server", jsonClient: true, jsonServer: true},
 		{name: "binary-client-compressing-server", compress: true},
 	}
 	q := query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}
 	var want []controller.BatchReply
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			srv, hosts := multiDaemon(t, 10, 4, 50, m.disableWire, m.compress)
+			srv, hosts := multiDaemon(t, 10, 4, 50, m.jsonServer, m.compress)
 			urls := make(map[types.HostID]string)
 			for _, h := range hosts {
 				urls[h] = srv.URL
@@ -135,12 +151,13 @@ func TestWireFallbackMatrix(t *testing.T) {
 // TestNegotiationHeaders checks the raw HTTP contract: the response
 // Content-Type follows the Accept offer exactly.
 func TestNegotiationHeaders(t *testing.T) {
-	srv := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: seedStore(1, 10)}}).Handler())
+	host := types.HostID(1)
+	srv := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{host: SnapshotTarget{Store: seedStore(1, 10)}}}).Handler())
 	defer srv.Close()
 
 	post := func(accept string) *http.Response {
 		t.Helper()
-		body, _ := json.Marshal(QueryRequest{Query: query.Query{Op: query.OpRecords, Link: types.AnyLink}})
+		body, _ := json.Marshal(QueryRequest{Host: &host, Query: query.Query{Op: query.OpRecords, Link: types.AnyLink}})
 		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/query", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		if accept != "" {
@@ -173,10 +190,12 @@ func TestNegotiationHeaders(t *testing.T) {
 // answers 413 with an explicit message (not the old 400 "unexpected
 // EOF"), and the cap is configurable per server.
 func TestBodyLimit413(t *testing.T) {
-	srv := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: tib.NewStore()}, MaxBodyBytes: 1024}).Handler())
+	host := types.HostID(1)
+	targets := map[types.HostID]Target{host: SnapshotTarget{Store: tib.NewStore()}}
+	srv := httptest.NewServer((&MultiAgentServer{Targets: targets, MaxBodyBytes: 1024}).Handler())
 	defer srv.Close()
 
-	big := QueryRequest{Query: query.Query{Op: query.OpConformance, Avoid: make([]types.SwitchID, 4000)}}
+	big := QueryRequest{Host: &host, Query: query.Query{Op: query.OpConformance, Avoid: make([]types.SwitchID, 4000)}}
 	body, _ := json.Marshal(big)
 	if len(body) <= 1024 {
 		t.Fatalf("test body too small: %d", len(body))
@@ -195,7 +214,7 @@ func TestBodyLimit413(t *testing.T) {
 	}
 
 	// A raised cap accepts the same body.
-	srv2 := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: tib.NewStore()}, MaxBodyBytes: 1 << 20}).Handler())
+	srv2 := httptest.NewServer((&MultiAgentServer{Targets: targets, MaxBodyBytes: 1 << 20}).Handler())
 	defer srv2.Close()
 	resp2, err := http.Post(srv2.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {

@@ -2,7 +2,6 @@ package tib
 
 import (
 	"bytes"
-	"encoding/gob"
 	"runtime"
 	"sync"
 	"testing"
@@ -159,11 +158,8 @@ func BenchmarkChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotRestore: restoring a large sharded store. v2 adopts
-// sealed segments with their indexes intact; v1 decodes a bare record
-// log and rebuilds segment indexes in parallel; readd-loop reproduces
-// the pre-refactor restore (one Add per record through the full ingest
-// path) as the baseline the ISSUE's acceptance compares against.
+// BenchmarkSnapshotRestore: restoring a large sharded store, which
+// adopts sealed segments with their indexes intact.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	const records = 200_000
 	src := NewStore()
@@ -172,12 +168,6 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	}
 	var v2 bytes.Buffer
 	if err := src.Snapshot(&v2); err != nil {
-		b.Fatal(err)
-	}
-	recs := make([]types.Record, 0, records)
-	src.ForEach(types.AnyLink, types.AllTime, func(r *types.Record) { recs = append(recs, *r) })
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(recs); err != nil {
 		b.Fatal(err)
 	}
 
@@ -195,34 +185,6 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			s := NewStore()
 			if err := s.LoadSnapshot(bytes.NewReader(v2.Bytes())); err != nil {
 				b.Fatal(err)
-			}
-			if s.Len() != records {
-				b.Fatal("short restore")
-			}
-		}
-	})
-	b.Run("v1-parallel-rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			gcBetween(b)
-			s := NewStore()
-			if err := s.LoadSnapshot(bytes.NewReader(v1.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-			if s.Len() != records {
-				b.Fatal("short restore")
-			}
-		}
-	})
-	b.Run("v1-readd-loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			gcBetween(b)
-			var decoded []types.Record
-			if err := gob.NewDecoder(bytes.NewReader(v1.Bytes())).Decode(&decoded); err != nil {
-				b.Fatal(err)
-			}
-			s := NewStore()
-			for _, rec := range decoded {
-				s.Add(rec)
 			}
 			if s.Len() != records {
 				b.Fatal("short restore")

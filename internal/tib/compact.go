@@ -1,12 +1,11 @@
 // Background compaction: merging runs of small sealed segments.
 //
-// Retention churn fragments shard chains — byte-budget evictions, v1
-// snapshot loads and low-rate shards all leave fleets of tiny sealed
-// segments, and every one of them costs a cursor, a bloom probe and a
-// posting-map lookup on every scan that cannot prune it. Compaction
-// merges adjacent runs of small sealed segments back up toward the
-// configured seal size, rebuilding postings and the bloom for the
-// merged segment.
+// Retention churn fragments shard chains — byte-budget evictions and
+// low-rate shards both leave fleets of tiny sealed segments, and every
+// one of them costs a cursor, a bloom probe and a posting-map lookup on
+// every scan that cannot prune it. Compaction merges adjacent runs of
+// small sealed segments back up toward the configured seal size,
+// rebuilding postings and the bloom for the merged segment.
 //
 // Correctness rests on two facts. Shard chains are sequence-monotonic
 // and compaction only ever merges *adjacent* segments of one chain, so

@@ -168,8 +168,9 @@ func (seg *segment) overlaps(tr types.TimeRange) bool {
 	return tr.Overlaps(seg.minTime, seg.maxTime)
 }
 
-// rebuildIndex recomputes the segment's postings from its entries — the
-// legacy-snapshot load path runs this per segment, in parallel.
+// rebuildIndex recomputes the segment's postings from its entries —
+// snapshot loads run this per segment that arrives without postings, in
+// parallel.
 func (seg *segment) rebuildIndex() {
 	seg.byFlow = make(map[types.FlowID][]int, len(seg.entries))
 	seg.byLink = make(map[types.LinkID][]int)

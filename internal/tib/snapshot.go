@@ -1,23 +1,18 @@
 // Snapshot/restore of the segmented TIB (the stand-in for the paper's
 // MongoDB persistence).
 //
-// Two wire formats coexist:
+// The format (written by Snapshot) is a raw 8-byte magic prefix, then a
+// gob stream of a header followed by one record per segment — entries
+// with their original sequence stamps, time bounds, and (for sealed
+// segments) the flow/link postings verbatim. Restore adopts segments
+// wholesale: no per-record re-Add, and index rebuild only for the few
+// segments written without postings (each shard's active segment, whose
+// maps may be mutated mid-snapshot by concurrent ingest and are
+// therefore not captured). A reader with a different stripe count
+// redistributes the records instead (buildFrom). Incremental streams
+// (SnapshotSince, Version 3) share the framing.
 //
-//   - v2 (written by Snapshot): a raw 8-byte magic prefix, then a gob
-//     stream of a header followed by one record per segment — entries
-//     with their original sequence stamps, time bounds, and (for sealed
-//     segments) the flow/link postings verbatim. Restore adopts segments
-//     wholesale: no per-record re-Add, and index rebuild only for the
-//     few segments written without postings (each shard's active
-//     segment, whose maps may be mutated mid-snapshot by concurrent
-//     ingest and are therefore not captured).
-//
-//   - v1 (legacy, no magic): a gob []types.Record in global insertion
-//     order. LoadSnapshot still accepts it, distributing records into
-//     segments and rebuilding every index — in parallel, one goroutine
-//     per segment, instead of the old single re-Add loop.
-//
-// Either way LoadSnapshot is atomic: the incoming stream is fully
+// LoadSnapshot is atomic: the incoming stream is fully
 // decoded and validated into a staged store first, and only then swapped
 // in under every shard lock at once. A mid-stream decode error leaves
 // the prior contents untouched, and concurrent readers see either the
@@ -45,9 +40,8 @@ import (
 // (rpc.StandbyReplica does this automatically).
 var ErrIncompatibleDelta = errors.New("tib: incremental snapshot incompatible with local store")
 
-// snapshotMagic prefixes v2 snapshots; v1 blobs are bare gob streams and
-// cannot begin with these bytes (gob's first byte is a length, and a
-// stream this short is not a valid v1 blob anyway).
+// snapshotMagic prefixes every snapshot stream; LoadSnapshot rejects a
+// stream without it.
 const snapshotMagic = "PDTIBv2\n"
 
 // snapshotHeader opens the v2 gob stream. Incremental streams reuse the
@@ -267,21 +261,19 @@ func (s *Store) encodeSnapshot(w io.Writer, views [][]segView, hdr snapshotHeade
 	return bw.Flush()
 }
 
-// LoadSnapshot replaces the store contents from a snapshot in either
-// format (v2 by magic prefix, bare gob = legacy v1). The replacement is
-// atomic — see the package comment at the top of this file.
+// LoadSnapshot replaces the store contents from a snapshot. The
+// replacement is atomic — see the package comment at the top of this
+// file.
 func (s *Store) LoadSnapshot(r io.Reader) error {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(len(snapshotMagic))
-	if err == nil && bytes.Equal(magic, []byte(snapshotMagic)) {
-		if _, err := br.Discard(len(snapshotMagic)); err != nil {
-			return err
-		}
-		return s.loadV2(br)
+	if err != nil || !bytes.Equal(magic, []byte(snapshotMagic)) {
+		return errors.New("tib: not a TIB snapshot (missing PDTIBv2 magic)")
 	}
-	// Too short for the magic, or a different prefix: let the v1 decoder
-	// produce the authoritative result (or error) from the full stream.
-	return s.loadV1(br)
+	if _, err := br.Discard(len(snapshotMagic)); err != nil {
+		return err
+	}
+	return s.loadV2(br)
 }
 
 // emptyClone builds an empty store with this store's configuration.
@@ -438,28 +430,6 @@ func validateSegment(ws *wireSegment, shards int) error {
 			}
 		}
 	}
-	return nil
-}
-
-// loadV1 decodes a legacy []types.Record blob and rebuilds the segmented
-// store from it.
-func (s *Store) loadV1(r io.Reader) error {
-	var recs []types.Record
-	if err := gob.NewDecoder(r).Decode(&recs); err != nil {
-		return err
-	}
-	entries := make([]entry, len(recs))
-	for i, rec := range recs {
-		// v1 wrote global insertion order; reassigning 1..n preserves it.
-		entries[i] = entry{seq: uint64(i + 1), rec: rec}
-	}
-	staged, err := s.buildFrom(entries)
-	if err != nil {
-		return err
-	}
-	staged.seq.Store(uint64(len(entries)))
-	staged.count.Store(int64(len(entries)))
-	s.swapFrom(staged)
 	return nil
 }
 

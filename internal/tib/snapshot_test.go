@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func TestSnapshotV2SegmentRoundTrip(t *testing.T) {
 
 // TestLoadSnapshotAtomic (regression): a mid-stream decode error must
 // leave the prior contents fully intact — never a half-cleared store —
-// in both formats.
+// for truncated snapshots and for streams that are no snapshot at all.
 func TestLoadSnapshotAtomic(t *testing.T) {
 	prior := NewStoreConfig(Config{SegmentRecords: 32})
 	for i := 0; i < 500; i++ {
@@ -98,7 +99,8 @@ func TestLoadSnapshotAtomic(t *testing.T) {
 		"v1 garbage":              []byte("garbage"),
 		"empty":                   nil,
 	}
-	// A v1 blob cut off mid-record must also fail cleanly.
+	// So must a bare gob record log without the snapshot magic, whole or
+	// cut off mid-record.
 	var v1 bytes.Buffer
 	recs := make([]types.Record, 100)
 	for i := range recs {
@@ -107,11 +109,16 @@ func TestLoadSnapshotAtomic(t *testing.T) {
 	if err := gob.NewEncoder(&v1).Encode(recs); err != nil {
 		t.Fatal(err)
 	}
+	cases["v1 whole"] = v1.Bytes()
 	cases["v1 truncated"] = v1.Bytes()[:v1.Len()/2]
 
 	for name, blob := range cases {
-		if err := prior.LoadSnapshot(bytes.NewReader(blob)); err == nil {
+		err := prior.LoadSnapshot(bytes.NewReader(blob))
+		if err == nil {
 			t.Fatalf("%s: LoadSnapshot accepted a broken snapshot", name)
+		}
+		if !bytes.HasPrefix(blob, []byte(snapshotMagic)) && !strings.HasPrefix(err.Error(), "tib: ") {
+			t.Errorf("%s: err = %q, want a tib: error naming the missing magic", name, err)
 		}
 		sameRecords(t, scanAll(prior), want, name)
 		if prior.Len() != len(want) {
@@ -183,31 +190,6 @@ func TestLoadSnapshotRejectsCorruptSegments(t *testing.T) {
 	}
 	if s.Len() != 2 {
 		t.Fatalf("control stream loaded %d records", s.Len())
-	}
-}
-
-// TestSnapshotV1Compat: legacy blobs (bare gob []Record) still load, with
-// order preserved and indexes rebuilt.
-func TestSnapshotV1Compat(t *testing.T) {
-	recs := make([]types.Record, 3000)
-	for i := range recs {
-		recs[i] = mkRecord(flowN(i%100), types.Path{1, types.SwitchID(50 + i%3), 2},
-			types.Time(i), types.Time(i+5), uint64(i), 1)
-	}
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(recs); err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore()
-	if err := s.LoadSnapshot(&v1); err != nil {
-		t.Fatal(err)
-	}
-	sameRecords(t, scanAll(s), recs, "v1 load")
-	if got := s.Flows(types.LinkID{A: 1, B: 51}, types.AllTime); len(got) == 0 {
-		t.Error("v1 load did not rebuild the link index")
-	}
-	if b, _ := s.Count(types.Flow{ID: flowN(7)}, types.AllTime); b == 0 {
-		t.Error("v1 load did not rebuild the flow index")
 	}
 }
 

@@ -22,11 +22,12 @@
 // merger before the frame's last byte arrives (ReadQueryChunks).
 //
 // Responses are negotiated per request: a client that understands the wire
-// format sends "Accept: application/x-pathdump-wire"; a server that speaks
-// it answers with that Content-Type, any other server answers JSON and the
-// client falls back transparently (see internal/rpc). Requests travel in
-// the same format (request.go): the client marks the body with the wire
-// Content-Type, and falls back to JSON per URL when a daemon rejects it.
+// format sends "Accept: application/x-pathdump-wire" and the server
+// answers with that Content-Type; a request without the offer gets JSON,
+// and the client decodes whichever Content-Type comes back (see
+// internal/rpc). Requests travel in the same format (request.go): the
+// client marks the body with the wire Content-Type and the server decodes
+// by it.
 package wire
 
 import (

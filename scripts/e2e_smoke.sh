@@ -19,14 +19,10 @@
 #      wedged flow fires every period but the controller's suppression
 #      window dedups the repeats, so pathdumpctl -watch sees exactly one
 #      POOR_PERF alarm (with the fold count on the entry);
-#   7. mixed-version wire fallback — a binary-offering client against a
-#      -json-only daemon (stand-in for one predating the wire protocol)
-#      and a -wire json client against a wire-enabled daemon both return
-#      byte-identical output to the binary/binary pairing; the same
-#      matrix covers the request side: the default client's binary
-#      request bodies are 415-rejected by the -json-only daemon and
-#      transparently retried as JSON, and a -wire json-req client keeps
-#      JSON request bodies while still accepting binary replies;
+#   7. encodings — the default binary client and a -wire json client
+#      print byte-identical output against the -tib snapshot daemon of
+#      scenario 5 and against a live daemon serving the same host, and
+#      both daemons rank the same rows;
 #   8. impairment to alarm — a daemon boots with -impair wedging both
 #      uplinks of the demo workload's first rack at 100% loss, a TCP
 #      monitor is installed over HTTP, and the controller's history shows
@@ -50,7 +46,6 @@ PORT_C="${E2E_PORT_C:-8473}"   # host 5 stalls on its first query only
 PORT_D="${E2E_PORT_D:-8474}"   # offline daemon serving the pulled snapshot
 PORT_E="${E2E_PORT_E:-8475}"   # pathdumpc controller daemon (alarm plane)
 PORT_F="${E2E_PORT_F:-8476}"   # monitored daemon, hosts 6,7 (+ wedged flow)
-PORT_G="${E2E_PORT_G:-8477}"   # -json-only daemon serving the pulled snapshot
 PORT_H="${E2E_PORT_H:-8478}"   # pathdumpc controller for the impairment scenario
 PORT_I="${E2E_PORT_I:-8479}"   # impaired daemon, hosts 0,1 behind lossy uplinks
 BIN="$(mktemp -d)"
@@ -239,33 +234,27 @@ count="$(grep -c "POOR_PERF" <<<"$out" || true)"
 [ "$count" -eq 1 ] || { echo "FAIL: -watch saw $count POOR_PERF alarms, want exactly 1"; exit 1; }
 
 echo
-echo "== 7. mixed-version wire fallback: binary client vs -json-only daemon =="
-# PORT_D (scenario 5) speaks the binary wire protocol; PORT_G serves the
-# same snapshot but answers JSON only, standing in for a daemon that
-# predates the wire protocol. The matrix now covers both directions of
-# the negotiation: bin_json sends binary *request* bodies at the
-# -json-only daemon (415-rejected, transparently retried as JSON) and
-# accepts only JSON replies back; -wire json-req keeps request bodies
-# JSON while still negotiating binary replies; -wire json disables both
-# directions. Every pairing must produce byte-identical output.
-boot_daemon g pathdumpd -host 0 -listen "127.0.0.1:$PORT_G" -tib "$SNAP" -json-only
-wait_ready "http://127.0.0.1:$PORT_G"
-
+echo "== 7. binary vs -wire json clients, against the -tib daemon and a live daemon =="
+# The default client sends binary request bodies and takes binary
+# replies; -wire json speaks readable JSON both ways. PORT_D (scenario 5)
+# serves host 0's pulled snapshot, A serves host 0 live. Against each
+# daemon both clients must print byte-identical output, and both
+# daemons must rank the same rows (the stats lines differ: the live
+# store scans its still-active segments too).
 D="http://127.0.0.1:$PORT_D"
-G="http://127.0.0.1:$PORT_G"
-bin_bin="$("$BIN/pathdumpctl" -agents "0=$D" -timeout 10s topk -k 5)"
-bin_json="$("$BIN/pathdumpctl" -agents "0=$G" -timeout 10s topk -k 5)"
-json_bin="$("$BIN/pathdumpctl" -agents "0=$D" -wire json -timeout 10s topk -k 5)"
-json_json="$("$BIN/pathdumpctl" -agents "0=$G" -wire json -timeout 10s topk -k 5)"
-jsonreq_bin="$("$BIN/pathdumpctl" -agents "0=$D" -wire json-req -timeout 10s topk -k 5)"
-jsonreq_json="$("$BIN/pathdumpctl" -agents "0=$G" -wire json-req -timeout 10s topk -k 5)"
-echo "$bin_bin"
-grep -q "^#1 " <<<"$bin_bin" || { echo "FAIL: wire query returned no rows"; exit 1; }
-for pair in bin_json json_bin json_json jsonreq_bin jsonreq_json; do
-  [ "$bin_bin" = "${!pair}" ] \
-    || { echo "FAIL: $pair output differs from binary/binary:"; echo "${!pair}"; exit 1; }
+for daemon in tib live; do
+  url="$D"; [ "$daemon" = live ] && url="$A"
+  bin="$("$BIN/pathdumpctl" -agents "0=$url" -timeout 10s topk -k 5)"
+  json="$("$BIN/pathdumpctl" -agents "0=$url" -wire json -timeout 10s topk -k 5)"
+  echo "$bin"
+  grep -q "^#1 " <<<"$bin" || { echo "FAIL: $daemon daemon returned no rows"; exit 1; }
+  [ "$bin" = "$json" ] \
+    || { echo "FAIL: -wire json output differs from binary against the $daemon daemon:"; echo "$json"; exit 1; }
+  declare "rows_$daemon=$(grep "^#" <<<"$bin")"
 done
-echo "all six client/daemon encoding pairings agree"
+[ "$rows_tib" = "$rows_live" ] \
+  || { echo "FAIL: -tib and live daemons rank different rows"; exit 1; }
+echo "binary and -wire json clients agree on both daemons"
 
 echo
 echo "== 8. impairment to alarm: -impair wedges a rack, monitor raises POOR_PERF =="
